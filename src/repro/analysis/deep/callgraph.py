@@ -7,10 +7,10 @@ resolve through class bases and through two attribute-typing passes:
 * constructor assignments — ``self.table = FlowTable()`` types the
   ``table`` attribute for every later ``self.table.add(...)`` call;
 * duck-typed attach points — a setter whose whole job is storing a
-  parameter (``def set_query_engine(self, engine): self._engine =
-  engine``) types the stored attribute from its *call sites*
-  (``db.set_query_engine(QueryEngine(...))``), which is how the hwdb →
-  query layer inversion stays resolvable without hwdb importing query.
+  parameter (``def set_x(self, x): self._x = x``) types the stored
+  attribute from the classes constructed at its *call sites*
+  (``obj.set_x(Thing(...))``), so a lower layer can call into an
+  object whose module it never imports.
 
 Everything is best-effort and under-approximating: a call that cannot
 be resolved contributes no edge and marks the caller *open* (consumers

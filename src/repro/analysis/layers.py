@@ -8,11 +8,14 @@ never above):
         ``core.logging_setup`` (stdlib-only logging config)
  1      ``net`` (+ ``core.config``, shared config vocabulary)
  2      ``openflow``
- 3      ``hwdb``
- 4      ``query`` + ``store`` — both compile against hwdb's tables and
-        attach through duck-typed hooks (``set_query_engine`` /
-        ``set_store``), so hwdb never imports either; they also never
-        import each other
+ 3      ``hwdb`` + ``query`` — every database builds its query engine,
+        which compiles against hwdb's tables and evaluates with hwdb's
+        row model; the two import each other at module level only in
+        the direction hwdb → ``query.engine`` → ``hwdb.cql``/
+        ``hwdb.table``, so the cycle check still holds
+ 4      ``store`` — attaches through the duck-typed ``set_store`` hook
+        and the ``table.spill``/``table.archive`` attributes, so hwdb
+        never imports it
  5      ``nox``
  6      ``services``
  7      ``policy``
@@ -53,7 +56,7 @@ LAYER_PREFIXES: Tuple[Tuple[int, str], ...] = (
     (1, "repro.core.config"),
     (2, "repro.openflow"),
     (3, "repro.hwdb"),
-    (4, "repro.query"),
+    (3, "repro.query"),
     (4, "repro.store"),
     (5, "repro.nox"),
     (6, "repro.services"),
@@ -76,8 +79,8 @@ LAYER_NAMES: Dict[int, str] = {
     0: "kernel",
     1: "net",
     2: "openflow",
-    3: "hwdb",
-    4: "query/store",
+    3: "hwdb/query",
+    4: "store",
     5: "nox",
     6: "services",
     7: "policy",

@@ -13,6 +13,10 @@ reproduction, and the result is written as a replayable JSON file.
 Everything runs in simulated time from one seed: the same seed always
 produces the byte-identical event trace, so every failure is a
 one-command reproduction (``python -m repro fuzz --replay FILE``).
+
+The package also holds the reference CQL executor (:mod:`.oracle`) that
+the differential query fuzzer (:mod:`.cql_fuzz`) checks the query
+engine against.
 """
 
 from .faults import LinkFault

@@ -1,7 +1,7 @@
-"""Differential CQL fuzzing: the query engine vs the legacy executor.
+"""Differential CQL fuzzing: the query engine vs the reference executor.
 
 The engine's core promise is *bit-identical* results — any query, any
-tier (incremental / plan / legacy fallback), any ring state.  This
+tier (incremental / optimized or unoptimized plan), any ring state.  This
 module checks that promise the FoundationDB way: a seeded generator
 produces random-but-valid CQL SELECTs over two small ring tables, the
 rings churn between ticks (small capacities force wrap-around and
@@ -13,8 +13,18 @@ match column-for-column and value-for-value *including Python types*
 The generator is type-aware by construction — ``sum()`` only over
 numeric columns, comparisons only between compatible types, ``HAVING``
 only over aggregate expressions — so every generated query is one the
-legacy executor accepts.  Determinism: one ``random.Random(seed)``
-drives everything, so a failing seed is a one-command reproduction.
+reference executor (:mod:`repro.check.oracle`) accepts.  A second
+generator swaps in a hostile statement for about one query in ten:
+unknown and ambiguous columns, unresolvable ORDER BY, ``sum()`` and
+``sum(*)``, HAVING without aggregation, ill-typed operands and ORDER BY
+over mixed types.  Those compile to unoptimized plans or exercise the
+evaluator's NULL rule, and must end exactly like the reference — same
+rows or same error.
+
+Determinism: ``random.Random(seed)`` drives the churn and the type-aware
+queries, and a second RNG derived from the same seed drives the hostile
+swaps, so they never shift a seed's churn; a failing seed is a
+one-command reproduction.
 """
 
 from __future__ import annotations
@@ -25,10 +35,10 @@ from typing import List, Optional, Tuple
 
 from ..core.clock import SimulatedClock
 from ..core.errors import HwdbError
-from ..hwdb.cql.executor import ResultSet, execute_select
+from ..hwdb.cql.executor import ResultSet
 from ..hwdb.cql.parser import parse
 from ..hwdb.database import HomeworkDatabase
-from ..query.engine import QueryEngine
+from .oracle import execute_select
 
 logger = logging.getLogger(__name__)
 
@@ -48,7 +58,7 @@ ANY_AGGREGATES = ("count", "first", "last")
 
 
 class Mismatch:
-    """One divergence between the engine and the legacy executor."""
+    """One divergence between the engine and the reference executor."""
 
     def __init__(self, query: str, tick: int, detail: str):
         self.query = query
@@ -217,6 +227,43 @@ class _QueryGen:
         return text
 
 
+#: Share of queries the hostile generator replaces.
+HOSTILE_SHARE = 0.1
+
+
+class _HostileGen:
+    """Statements that fail ``resolvable_all`` or mix types on purpose."""
+
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+
+    def build(self) -> str:
+        rng = self.rng
+        table = rng.choice(sorted(SCHEMA))
+        varchars, integers, _booleans = SCHEMA[table]
+        text_col, int_col = rng.choice(varchars), rng.choice(integers)
+        w = rng.choice(("", " [ROWS 8]", " [RANGE 20 SECONDS]", " [SINCE 5.0]"))
+        return rng.choice(
+            (
+                f"SELECT nosuch FROM {table}{w}",
+                f"SELECT {text_col} FROM {table}{w} WHERE nosuch = 1",
+                f"SELECT device FROM readings{w} r, flows{w} f",
+                f"SELECT {text_col} FROM {table}{w} ORDER BY {int_col}",
+                f"SELECT sum() AS s FROM {table}{w}",
+                f"SELECT count(*) AS n, sum(*) AS s FROM {table}{w}",
+                f"SELECT {text_col} FROM {table}{w} HAVING sum({int_col}) > 10",
+                f"SELECT {text_col}, {int_col} FROM {table}{w} WHERE {int_col} > 'z'",
+                f"SELECT f.bytes FROM flows{w} f, readings{w} r WHERE f.bytes > 'z'",
+                f"SELECT {int_col} + 'a' AS x, -{text_col} AS y, abs({text_col}) AS z"
+                f" FROM {table}{w}",
+                f"SELECT {text_col}, sum({text_col}) AS s, avg({text_col}) AS a"
+                f" FROM {table}{w} GROUP BY {text_col}",
+                f"SELECT coalesce(1 / ({int_col} % 2), {text_col}) AS c"
+                f" FROM {table}{w} ORDER BY c DESC",
+            )
+        )
+
+
 def _build_db(rng: random.Random) -> Tuple[HomeworkDatabase, SimulatedClock]:
     clock = SimulatedClock(start=rng.uniform(0.0, 20.0))
     db = HomeworkDatabase(clock)
@@ -267,16 +314,19 @@ def run_differential(
 
     Every query is executed repeatedly against a mutating ring — that is
     what makes the *incremental* tier earn its keep: the engine carries
-    per-group state between calls while the legacy executor recomputes
-    from scratch, and the two must never be told apart.
+    per-group state between calls while the reference executor
+    recomputes from scratch, and the two must never be told apart.
     """
     rng = random.Random(seed)
     db, clock = _build_db(rng)
-    engine = QueryEngine(db)
+    engine = db.engine
     gen = _QueryGen(rng)
+    hostile = _HostileGen(random.Random(seed + 0x5EED))
     mismatches: List[Mismatch] = []
     for index in range(queries):
         text = gen.build()
+        if hostile.rng.random() < HOSTILE_SHARE:
+            text = hostile.build()
         try:
             statement = parse(text)
         except HwdbError:  # pragma: no cover - generator bug, not engine
@@ -291,7 +341,7 @@ def run_differential(
             )
             if expected != actual:
                 mismatches.append(
-                    Mismatch(text, tick, f"legacy={expected!r} engine={actual!r}")
+                    Mismatch(text, tick, f"oracle={expected!r} engine={actual!r}")
                 )
                 logger.error(
                     "cql-fuzz mismatch (query %d tick %d): %s", index, tick, text
@@ -308,7 +358,7 @@ def fuzz_cql(queries: int, seed: int, say=logger.info) -> int:
             say("MISMATCH tick=%d: %s\n  %s", miss.tick, miss.query, miss.detail)
         say("cql-fuzz: %d/%d queries diverged", len(mismatches), queries)
         return 1
-    say("cql-fuzz: %d queries, engine == legacy executor on every tick", queries)
+    say("cql-fuzz: %d queries, engine == reference executor on every tick", queries)
     return 0
 
 

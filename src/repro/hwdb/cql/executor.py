@@ -1,16 +1,19 @@
-"""Query executor for the CQL variant.
+"""Row model and evaluation semantics for the CQL variant.
 
-Evaluates a parsed :class:`~repro.hwdb.cql.ast_nodes.Select` against the
-database's ring-buffer tables at a given instant: applies per-stream
-windows (the *temporal* operators), joins sources (the *relational*
-operators), then filters, groups, aggregates, orders and limits.
+Everything a SELECT needs row by row lives here: the :class:`ResultSet`
+it returns, per-stream windows (the *temporal* operators, including the
+durable-archive extension), the joined-row :class:`Binding`, expression
+and aggregate evaluation, grouping and ordering.  The query engine
+(:mod:`repro.query`) assembles these into operator plans; the reference
+executor in :mod:`repro.check.oracle` uses the same pieces row at a
+time, so the two can only differ in plan shape, never in semantics.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
+from functools import cmp_to_key
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...core.errors import QueryError
@@ -24,7 +27,6 @@ from .ast_nodes import (
     Literal,
     OrderItem,
     Projection,
-    Select,
     TableRef,
     Unary,
     W_ALL,
@@ -109,13 +111,9 @@ def _column_value(table: StreamTable, row: Row, name: str) -> Any:
     return row.values[table.column_position(name)]
 
 
-def apply_window(table: StreamTable, ref: TableRef, now: float) -> List[Row]:
-    """Materialise the windowed view of ``table`` at time ``now``."""
-    return apply_window_ex(table, ref, now)[0]
-
-
 def apply_window_ex(table: StreamTable, ref: TableRef, now: float):
-    """:func:`apply_window` plus the archive-scan audit, as a pair.
+    """The windowed view of ``table`` at ``now``, plus the archive-scan
+    audit, as a pair.
 
     When the table carries a durable tier (the duck-typed
     ``table.archive`` attribute set by ``repro.store``) and the window
@@ -188,6 +186,14 @@ def _like_to_regex(pattern: str) -> re.Pattern:
     return re.compile("".join(out), re.IGNORECASE)
 
 
+#: What Python raises for operands it cannot compare or combine
+#: (``1 < 'a'``, ``-'a'``, ``round(float('inf'))``).  The evaluator
+#: treats them as NULL: a comparison is false, anything else NULL.
+_ILL_TYPED = (TypeError, ValueError, OverflowError)
+
+_COMPARISONS = ("<", "<=", ">", ">=")
+
+
 class Evaluator:
     """Evaluates expressions over a binding (and a group for aggregates)."""
 
@@ -241,30 +247,9 @@ class Evaluator:
         raise QueryError(f"cannot evaluate expression {expr!r}")
 
     def _aggregate_function(self, call: FunctionCall, group: Sequence[_Binding]) -> Any:
-        if call.name == "count":
-            if call.star:
-                return len(group)
-            values = self._arg_values(call, group)
-            return sum(1 for v in values if v is not None)
-        values = [v for v in self._arg_values(call, group) if v is not None]
-        if call.name == "sum":
-            return sum(values) if values else 0
-        if call.name == "avg":
-            return sum(values) / len(values) if values else None
-        if call.name == "min":
-            return min(values) if values else None
-        if call.name == "max":
-            return max(values) if values else None
-        if call.name == "first":
-            return values[0] if values else None
-        if call.name == "last":
-            return values[-1] if values else None
-        if call.name == "stddev":
-            if len(values) < 2:
-                return 0.0
-            mean = sum(values) / len(values)
-            return math.sqrt(sum((v - mean) ** 2 for v in values) / (len(values) - 1))
-        raise QueryError(f"unknown aggregate {call.name!r}")
+        if call.name == "count" and call.star:
+            return len(group)
+        return aggregate_values(call.name, self._arg_values(call, group))
 
     def _arg_values(self, call: FunctionCall, group: Sequence[_Binding]) -> List[Any]:
         if not call.args:
@@ -279,7 +264,12 @@ class Evaluator:
         if expr.op == "not":
             return not _truthy(value)
         if expr.op == "-":
-            return -value if value is not None else None
+            if value is None:
+                return None
+            try:
+                return -value
+            except _ILL_TYPED:
+                return None
         raise QueryError(f"unknown unary operator {expr.op!r}")
 
     def _binary(self, expr: Binary, ev: Callable[[Expr], Any]) -> Any:
@@ -300,29 +290,33 @@ class Evaluator:
             equal = left == right
             return equal if op == "=" else not equal
         if left is None or right is None:
-            return False if op in ("<", "<=", ">", ">=") else None
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                return None
-            return left / right
-        if op == "%":
-            if right == 0:
-                return None
-            return left % right
+            return False if op in _COMPARISONS else None
+        try:
+            if op == "<":
+                return left < right
+            if op == "<=":
+                return left <= right
+            if op == ">":
+                return left > right
+            if op == ">=":
+                return left >= right
+            if op == "+":
+                return left + right
+            if op == "-":
+                return left - right
+            if op == "*":
+                return left * right
+            if op == "/":
+                if right == 0:
+                    return None
+                return left / right
+            if op == "%":
+                if right == 0:
+                    return None
+                return left % right
+        except _ILL_TYPED:
+            # Operands Python cannot compare or combine act like NULL.
+            return False if op in _COMPARISONS else None
         raise QueryError(f"unknown operator {op!r}")
 
     def _in_list(self, expr: InList, ev: Callable[[Expr], Any]) -> bool:
@@ -335,17 +329,20 @@ class Evaluator:
         name = call.name
         if name == "now":
             return self.now
-        if name == "abs":
-            return abs(args[0]) if args and args[0] is not None else None
+        if name in ("abs", "round"):
+            if not args or args[0] is None:
+                return None
+            try:
+                if name == "abs":
+                    return abs(args[0])
+                digits = int(args[1]) if len(args) > 1 and args[1] is not None else 0
+                return round(args[0], digits)
+            except _ILL_TYPED:
+                return None
         if name == "upper":
             return str(args[0]).upper() if args and args[0] is not None else None
         if name == "lower":
             return str(args[0]).lower() if args and args[0] is not None else None
-        if name == "round":
-            if not args or args[0] is None:
-                return None
-            digits = int(args[1]) if len(args) > 1 and args[1] is not None else 0
-            return round(args[0], digits)
         if name == "length":
             return len(str(args[0])) if args and args[0] is not None else None
         if name == "coalesce":
@@ -360,87 +357,43 @@ def _truthy(value: Any) -> bool:
     return bool(value)
 
 
+def aggregate_values(name: str, raw_values: Sequence[Any]) -> Any:
+    """One aggregate over its argument values, in group order.
+
+    NULLs are skipped.  Values the formula cannot combine (``sum`` over
+    text, ``min`` over text and numbers) give NULL, like ill-typed
+    operands in :meth:`Evaluator._binary`.  ``count(*)`` never gets
+    here: it is the group size.
+    """
+    if name == "count":
+        return sum(1 for v in raw_values if v is not None)
+    values = [v for v in raw_values if v is not None]
+    try:
+        if name == "sum":
+            return sum(values) if values else 0
+        if name == "avg":
+            return sum(values) / len(values) if values else None
+        if name == "min":
+            return min(values) if values else None
+        if name == "max":
+            return max(values) if values else None
+        if name == "first":
+            return values[0] if values else None
+        if name == "last":
+            return values[-1] if values else None
+        if name == "stddev":
+            if len(values) < 2:
+                return 0.0
+            mean = sum(values) / len(values)
+            return math.sqrt(sum((v - mean) ** 2 for v in values) / (len(values) - 1))
+    except _ILL_TYPED:
+        return None
+    raise QueryError(f"unknown aggregate {name!r}")
+
+
 # ----------------------------------------------------------------------
-# SELECT execution
+# SELECT building blocks
 # ----------------------------------------------------------------------
-
-def execute_select(
-    select: Select,
-    tables: Dict[str, StreamTable],
-    now: float,
-) -> ResultSet:
-    """Run ``select`` against ``tables`` at time ``now``."""
-    evaluator = Evaluator(now)
-
-    # 1. Windowed sources.
-    alias_rows: List[Tuple[str, StreamTable, List[Row]]] = []
-    seen_aliases = set()
-    for ref in select.sources:
-        table = tables.get(ref.table)
-        if table is None:
-            raise QueryError(f"no such table {ref.table!r}")
-        if ref.alias in seen_aliases:
-            raise QueryError(f"duplicate table alias {ref.alias!r}")
-        seen_aliases.add(ref.alias)
-        alias_rows.append((ref.alias, table, apply_window(table, ref, now)))
-
-    # 2. Join (cartesian product filtered by WHERE).
-    bindings: List[_Binding] = []
-    for combo in itertools.product(*(rows for _, _, rows in alias_rows)):
-        binding = _Binding(
-            {
-                alias: (table, row)
-                for (alias, table, _), row in zip(alias_rows, combo)
-            }
-        )
-        if select.where is None or _truthy(evaluator.scalar(select.where, binding)):
-            bindings.append(binding)
-
-    # 3. Projection plan.
-    if select.star:
-        projections = _star_projections(alias_rows, len(select.sources) > 1)
-    else:
-        projections = select.projections
-    aggregated = bool(select.group_by) or any(
-        _has_aggregate(p.expr) for p in projections
-    )
-
-    columns = [_projection_name(p, i) for i, p in enumerate(projections)]
-
-    # 4. Grouping / aggregation.
-    if aggregated:
-        groups = _group(bindings, select.group_by, evaluator)
-        out_rows: List[Tuple] = []
-        for group in groups:
-            if select.having is not None and not _truthy(
-                evaluator.aggregate(select.having, group)
-            ):
-                continue
-            out_rows.append(
-                tuple(evaluator.aggregate(p.expr, group) for p in projections)
-            )
-    else:
-        out_rows = [
-            tuple(evaluator.scalar(p.expr, binding) for p in projections)
-            for binding in bindings
-        ]
-
-    # 5. DISTINCT, then ORDER BY + LIMIT.
-    if select.distinct:
-        seen = set()
-        unique: List[Tuple] = []
-        for row in out_rows:
-            if row not in seen:
-                seen.add(row)
-                unique.append(row)
-        out_rows = unique
-    if select.order_by:
-        out_rows = _order_rows(out_rows, select.order_by, projections, columns, evaluator)
-    if select.limit is not None:
-        out_rows = out_rows[: select.limit]
-
-    return ResultSet(columns, out_rows, executed_at=now)
-
 
 def _star_projections(alias_rows, qualify: bool) -> List[Projection]:
     projections: List[Projection] = []
@@ -513,20 +466,40 @@ def _order_rows(
 
     for item in reversed(order_by):
         key = key_for(item)
-        rows = sorted(
-            rows,
-            key=lambda row: (key(row) is None, key(row)),
-            reverse=item.descending,
-        )
+        try:
+            rows = sorted(
+                rows,
+                key=lambda row: (key(row) is None, key(row)),
+                reverse=item.descending,
+            )
+        except _ILL_TYPED:
+            # Values Python cannot compare (1.0 and 'a') sort as equal,
+            # as the comparison is false both ways; the sort stays stable.
+            rows = sorted(
+                rows,
+                key=cmp_to_key(lambda a, b: _compare(key(a), key(b))),
+                reverse=item.descending,
+            )
     return rows
 
 
+def _compare(left: Any, right: Any) -> int:
+    """Three-way ORDER BY comparison: NULLs last, ill-typed pairs equal."""
+    if left is None or right is None:
+        return (left is None) - (right is None)
+    try:
+        return (left > right) - (left < right)
+    except _ILL_TYPED:
+        return 0
+
+
 # ----------------------------------------------------------------------
-# Public aliases for the query engine
+# Public aliases for the query engine and the reference executor
 # ----------------------------------------------------------------------
-# ``repro.query`` compiles SELECTs into an operator DAG but reuses this
+# ``repro.query`` compiles SELECTs into an operator DAG and
+# ``repro.check.oracle`` runs them row at a time; both reuse this
 # module's row model and evaluation semantics wholesale, so the two
-# execution paths cannot drift apart.  These names are that contract.
+# cannot drift apart.  These names are that contract.
 
 Binding = _Binding
 group_bindings = _group

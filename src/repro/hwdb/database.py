@@ -8,19 +8,23 @@ interface enabling applications to subscribe to query results,
 persisting output as desired."
 
 This module is the database core: table management, inserts, one-shot
-queries and continuous subscriptions.  The RPC front-end lives in
-:mod:`repro.hwdb.rpc`, persistence in :mod:`repro.hwdb.persist`.
+queries and continuous subscriptions.  Every SELECT runs on the
+database's own :class:`~repro.query.engine.QueryEngine`.  The RPC
+front-end lives in :mod:`repro.hwdb.rpc`, persistence in
+:mod:`repro.hwdb.persist`.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.clock import Clock
 from ..core.errors import HwdbError, QueryError
+from ..query.engine import QueryEngine
 from .cql.ast_nodes import CreateTable, Explain, Insert, Select
-from .cql.executor import ResultSet, execute_select
+from .cql.executor import ResultSet
 from .cql.parser import parse
 from .table import Column, StreamTable
 from .types import type_by_name
@@ -115,11 +119,11 @@ class HomeworkDatabase:
         self._tables: Dict[str, StreamTable] = {}
         self._subscriptions: Dict[int, Subscription] = {}
         self._scheduler = None  # set via attach_scheduler
-        self._engine = None  # set via set_query_engine
         self._store = None  # set via set_store
         self.queries_executed = 0
         self.inserts = 0
         self.set_registry(registry)
+        self.engine = QueryEngine(registry)
 
     def set_registry(self, registry) -> None:
         """Attach (or detach) a metrics registry; None means no telemetry."""
@@ -139,20 +143,9 @@ class HomeworkDatabase:
             self._m_subs_active = registry.gauge("hwdb.subscriptions_active")
             self._m_sub_fire = registry.histogram("hwdb.subscription_fire_seconds")
 
-    def set_query_engine(self, engine) -> None:
-        """Attach a continuous-query engine (duck-typed so hwdb never
-        imports :mod:`repro.query`, which sits a layer above).
-
-        When attached, SELECTs route through ``engine.execute_select``
-        and EXPLAIN through ``engine.explain``; the engine is expected
-        to be behaviourally identical to the legacy executor, falling
-        back to it whenever in doubt.
-        """
-        self._engine = engine
-
     def set_store(self, store) -> None:
-        """Attach a durable storage tier (duck-typed, like the query
-        engine: hwdb never imports :mod:`repro.store`).
+        """Attach a durable storage tier (duck-typed: hwdb never
+        imports :mod:`repro.store`).
 
         The store is notified of table creation/drops so every ring
         gets its ``spill``/``archive`` hooks.  Attaching invalidates the
@@ -160,8 +153,7 @@ class HomeworkDatabase:
         table's history extends past the ring.
         """
         self._store = store
-        if self._engine is not None:
-            self._engine.invalidate()
+        self.engine.invalidate()
 
     @property
     def now(self) -> float:
@@ -194,8 +186,7 @@ class HomeworkDatabase:
         self._tables[key] = table
         if self._store is not None:
             self._store.on_create_table(table)
-        if self._engine is not None:
-            self._engine.invalidate()
+        self.engine.invalidate()
         return table
 
     def drop_table(self, name: str) -> None:
@@ -204,8 +195,7 @@ class HomeworkDatabase:
         del self._tables[name.lower()]
         if self._store is not None:
             self._store.on_drop_table(name.lower())
-        if self._engine is not None:
-            self._engine.invalidate()
+        self.engine.invalidate()
 
     def table(self, name: str) -> StreamTable:
         try:
@@ -262,18 +252,12 @@ class HomeworkDatabase:
                 self._m_queries.inc()
                 timer = self._registry.clock
                 t0 = timer()
-                result = self._execute_select(statement)
+                result = self.engine.execute_select(statement, self._tables, self.now)
                 self._m_query_lat.observe(timer() - t0)
                 return result
-            return self._execute_select(statement)
+            return self.engine.execute_select(statement, self._tables, self.now)
         if isinstance(statement, Explain):
-            if self._engine is None:
-                return ResultSet(
-                    ["plan"],
-                    [("legacy executor (no query engine attached)",)],
-                    executed_at=self.now,
-                )
-            return self._engine.explain(statement, self._tables, self.now)
+            return self.engine.explain(statement, self._tables, self.now)
         if isinstance(statement, Insert):
             table = self.table(statement.table)
             if statement.columns is not None:
@@ -290,11 +274,6 @@ class HomeworkDatabase:
             return ResultSet(["created"], [(statement.table,)], executed_at=self.now)
         raise QueryError(f"unsupported statement type {type(statement).__name__}")
 
-    def _execute_select(self, statement: Select) -> ResultSet:
-        if self._engine is not None:
-            return self._engine.execute_select(statement, self._tables, self.now)
-        return execute_select(statement, self._tables, self.now)
-
     # ------------------------------------------------------------------
     # Subscriptions
     # ------------------------------------------------------------------
@@ -308,8 +287,10 @@ class HomeworkDatabase:
         start: bool = True,
     ) -> Subscription:
         """Register a continuous query pushing results every ``interval`` s."""
-        if interval <= 0:
-            raise HwdbError(f"subscription interval must be positive: {interval}")
+        if not (math.isfinite(interval) and interval > 0):
+            raise HwdbError(
+                f"subscription interval must be positive and finite: {interval}"
+            )
         statement = parse(text)
         if not isinstance(statement, Select):
             raise QueryError("only SELECT statements can be subscribed")
@@ -317,10 +298,9 @@ class HomeworkDatabase:
         self._subscriptions[subscription.id] = subscription
         if self._m_subs_active is not None:
             self._m_subs_active.set(float(len(self._subscriptions)))
-        if self._engine is not None:
-            # Pin the compiled plan: subscriptions outlive ad-hoc cache
-            # churn and carry the incremental state between fires.
-            self._engine.attach_subscription(statement)
+        # Pin the compiled plan: subscriptions outlive ad-hoc cache
+        # churn and carry the incremental state between fires.
+        self.engine.attach_subscription(statement)
         if start:
             if self._scheduler is None:
                 raise HwdbError(
@@ -345,8 +325,8 @@ class HomeworkDatabase:
         subscription = self._subscriptions.pop(sub_id, None)
         if self._m_subs_active is not None:
             self._m_subs_active.set(float(len(self._subscriptions)))
-        if subscription is not None and self._engine is not None:
-            self._engine.detach_subscription(subscription.select)
+        if subscription is not None:
+            self.engine.detach_subscription(subscription.select)
 
     def stats(self) -> Dict[str, Any]:
         return {

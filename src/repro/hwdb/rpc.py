@@ -38,7 +38,7 @@ from __future__ import annotations
 import logging
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.errors import QueryError, RpcError
+from ..core.errors import HwdbError, RpcError
 from .cql.executor import ResultSet
 from .database import HomeworkDatabase, Subscription
 
@@ -171,7 +171,7 @@ class RpcServer:
             return
         try:
             response = self._dispatch(text.strip(), reply)
-        except (QueryError, RpcError) as exc:
+        except HwdbError as exc:
             response = f"ERROR {exc}"
         except Exception as exc:  # noqa: BLE001 - never kill the server
             logger.exception("rpc request failed")

@@ -1,9 +1,10 @@
 """obs — the router-wide telemetry subsystem.
 
 Counters, gauges and fixed-bucket latency histograms in a
-:class:`MetricsRegistry`; tracing spans with parent/child nesting; and a
-:class:`MetricsFlusher` that dogfoods export by publishing snapshots
-into the hwdb ``Metrics`` stream table.  See DESIGN.md §8.
+:class:`MetricsRegistry`; a :class:`MetricsFlusher` that dogfoods export
+by publishing snapshots into the hwdb ``Metrics`` stream table; and the
+packet-lineage :class:`Tracer`, the one tracing API.  See DESIGN.md §8
+and §16.
 """
 
 from .flush import METRICS_TABLE, MetricsFlusher
@@ -14,7 +15,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     REGISTRY,
-    Span,
 )
 from .trace import TRACES_TABLE, Tracer, render_context, render_lineage
 
@@ -27,7 +27,6 @@ __all__ = [
     "MetricsFlusher",
     "MetricsRegistry",
     "REGISTRY",
-    "Span",
     "TRACES_TABLE",
     "Tracer",
     "render_context",

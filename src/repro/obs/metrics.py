@@ -22,19 +22,15 @@ simulated time).
 
 from __future__ import annotations
 
-import functools
 import time
 from bisect import bisect_right
-from collections import deque
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "Span",
     "REGISTRY",
     "DEFAULT_BUCKETS",
 ]
@@ -209,59 +205,16 @@ class Histogram:
         return f"Histogram({self.name}, n={self.count}, mean={self.mean:.3g})"
 
 
-class Span:
-    """One tracing span: a named, tagged interval with parent/child links."""
-
-    __slots__ = ("name", "tags", "parent", "depth", "start", "end", "children")
-
-    def __init__(self, name: str, tags: Dict[str, Any], parent: Optional["Span"], start: float):
-        self.name = name
-        self.tags = tags
-        self.parent = parent
-        self.depth = 0 if parent is None else parent.depth + 1
-        self.start = start
-        self.end: Optional[float] = None
-        self.children: List["Span"] = []
-        if parent is not None:
-            parent.children.append(self)
-
-    @property
-    def duration(self) -> float:
-        return (self.end - self.start) if self.end is not None else 0.0
-
-    def tag(self, key: str, value: Any) -> None:
-        self.tags[key] = value
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "parent": self.parent.name if self.parent else None,
-            "depth": self.depth,
-            "start": self.start,
-            "duration": self.duration,
-            "tags": dict(self.tags),
-        }
-
-    def __repr__(self) -> str:
-        return f"Span({self.name!r}, depth={self.depth}, dur={self.duration:.3g})"
-
-
 class MetricsRegistry:
-    """Process-wide instrument registry + tracing context.
+    """Process-wide instrument registry.
 
-    ``clock`` provides span timing and defaults to wall time; pass the
-    simulator clock to trace in simulated seconds instead.
+    ``clock`` is the timer instrumented code reads for its latency
+    histograms; it defaults to wall time.
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], float] = time.perf_counter,
-        max_finished_spans: int = 256,
-    ):
+    def __init__(self, clock: Callable[[], float] = time.perf_counter):
         self.clock = clock
         self._metrics: Dict[str, Any] = {}
-        self._span_stack: List[Span] = []
-        self.finished_spans: deque = deque(maxlen=max_finished_spans)
 
     # ------------------------------------------------------------------
     # Instrument accessors (get-or-create, memoized by name)
@@ -297,53 +250,6 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         self._metrics.clear()
-        self._span_stack.clear()
-        self.finished_spans.clear()
-
-    # ------------------------------------------------------------------
-    # Tracing spans
-    # ------------------------------------------------------------------
-
-    @contextmanager
-    def span(self, name: str, **tags) -> Iterator[Span]:
-        """Open a span; nests under the currently open span.
-
-        The duration lands in the histogram ``span.<name>`` and the
-        finished span (with its tags and parentage) is retained in a
-        small ring for inspection.
-        """
-        parent = self._span_stack[-1] if self._span_stack else None
-        span = Span(name, dict(tags), parent, self.clock())
-        self._span_stack.append(span)
-        try:
-            yield span
-        finally:
-            span.end = self.clock()
-            self._span_stack.pop()
-            self.histogram(f"span.{name}").observe(span.duration)
-            if (
-                self.finished_spans.maxlen is not None
-                and len(self.finished_spans) == self.finished_spans.maxlen
-            ):
-                # The ring is full: this append evicts the oldest span.
-                self.counter("obs.spans_dropped").inc()
-            self.finished_spans.append(span)
-
-    def current_span(self) -> Optional[Span]:
-        return self._span_stack[-1] if self._span_stack else None
-
-    def timed(self, name: str, **tags) -> Callable:
-        """Decorator form of :meth:`span`."""
-
-        def decorator(fn: Callable) -> Callable:
-            @functools.wraps(fn)
-            def wrapper(*args, **kwargs):
-                with self.span(name, **tags):
-                    return fn(*args, **kwargs)
-
-            return wrapper
-
-        return decorator
 
     # ------------------------------------------------------------------
     # Export

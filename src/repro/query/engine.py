@@ -1,28 +1,23 @@
 """The continuous-query engine facade.
 
-One :class:`QueryEngine` sits next to a :class:`HomeworkDatabase` (the
-router constructs it; the database talks to it only through the
-duck-typed ``set_query_engine`` hook, keeping hwdb below this package
-in the layer DAG).  Every SELECT the database executes routes here:
+Every :class:`HomeworkDatabase` builds one :class:`QueryEngine` and
+routes every SELECT and EXPLAIN through it:
 
 1. The plan cache (keyed by the query's *normalized* unparse text, so
    formatting differences share an entry) yields or compiles a cache
-   entry in one of three modes:
+   entry in one of two modes:
 
    * ``incremental`` — windowed-aggregate state maintained across
-     ticks (:mod:`.incremental`);
+     ticks (:mod:`.incremental`), on top of the compiled plan;
    * ``plan`` — full re-execution of the compiled operator DAG, with
-     cross-query scan sharing (:mod:`.plan`, :mod:`.share`);
-   * ``legacy`` — the original executor, for anything the planner
-     cannot prove it reproduces exactly.
+     cross-query scan sharing (:mod:`.plan`, :mod:`.share`).  The plan
+     is optimized when the statement passes the planner's
+     ``resolvable_all`` check and unoptimized otherwise; either way it
+     matches the reference executor in :mod:`repro.check.oracle`.
 
-2. If a plan-tier or incremental execution raises anyway, the engine
-   answers with the legacy executor.  An :class:`HwdbError` means the
-   legacy path raises (or handles) the same condition authoritatively,
-   so the entry stays live; any other exception is an engine defect —
-   the entry is poisoned to legacy mode, logged, and counted, and the
-   caller still gets the legacy answer.  Subscriptions therefore can
-   never be broken by the optimizer, only slowed down.
+2. Errors propagate.  A statement that cannot run raises the same
+   :class:`~repro.core.errors.HwdbError` the reference executor would;
+   the engine has no second executor to fall back on.
 
 Subscriptions pin their cache entries (``attach_subscription``) so LRU
 eviction only ever discards ad-hoc queries; DDL invalidates everything.
@@ -30,29 +25,23 @@ eviction only ever discards ad-hoc queries; DDL invalidates everything.
 
 from __future__ import annotations
 
-import logging
-from contextlib import nullcontext
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from ..core.errors import HwdbError
 from ..hwdb.cql.ast_nodes import Explain, Select
-from ..hwdb.cql.executor import ResultSet, execute_select as legacy_execute
+from ..hwdb.cql.executor import ResultSet
 from ..hwdb.cql.unparse import unparse
 from .explain import render_plan
 from .incremental import IncrementalState, NotIncremental, build_incremental
-from .plan import Plan, PlanNotSupported, compile_select
+from .plan import Plan, compile_select
 from .share import ShareCache
 from .stats import EngineMetrics
-
-logger = logging.getLogger(__name__)
 
 #: Unpinned plan-cache entries beyond this are evicted, oldest first.
 PLAN_CACHE_SIZE = 256
 
 MODE_INCREMENTAL = "incremental"
 MODE_PLAN = "plan"
-MODE_LEGACY = "legacy"
 
 
 class _CacheEntry:
@@ -60,7 +49,7 @@ class _CacheEntry:
 
     def __init__(
         self,
-        plan: Optional[Plan],
+        plan: Plan,
         state: Optional[IncrementalState],
         mode: str,
         reason: Optional[str],
@@ -74,14 +63,12 @@ class _CacheEntry:
 class QueryEngine:
     """Compiles, caches, shares and incrementally maintains SELECTs."""
 
-    def __init__(self, db, registry=None):
-        self.db = db
+    def __init__(self, registry=None):
         self.metrics = EngineMetrics(registry)
         self.share = ShareCache()
         self._cache: "OrderedDict[str, _CacheEntry]" = OrderedDict()
         self._pins: Dict[str, int] = {}
         self._share_now: Optional[float] = None
-        db.set_query_engine(self)
 
     # -- plan cache ----------------------------------------------------
 
@@ -98,10 +85,11 @@ class QueryEngine:
         return entry
 
     def _compile(self, select: Select, tables) -> _CacheEntry:
+        plan = compile_select(select, tables)
         try:
-            plan = compile_select(select, tables)
-        except PlanNotSupported as exc:
-            return _CacheEntry(None, None, MODE_LEGACY, str(exc))
+            state = build_incremental(plan)
+        except NotIncremental as exc:
+            return _CacheEntry(plan, None, MODE_PLAN, str(exc))
         archived = sorted(
             {
                 node.ref.table
@@ -120,10 +108,6 @@ class QueryEngine:
                 MODE_PLAN,
                 f"durable archive on {', '.join(archived)}: incremental tier is ring-only",
             )
-        try:
-            state = build_incremental(plan)
-        except NotIncremental as exc:
-            return _CacheEntry(plan, None, MODE_PLAN, str(exc))
         return _CacheEntry(plan, state, MODE_INCREMENTAL, None)
 
     def _evict_unpinned(self) -> None:
@@ -166,13 +150,10 @@ class QueryEngine:
     # -- execution -----------------------------------------------------
 
     def execute_select(self, select: Select, tables, now: float) -> ResultSet:
-        """Run ``select``; behaviourally identical to the legacy
-        :func:`execute_select`, which remains the arbiter on any doubt."""
+        """Run ``select``; behaviourally identical to the reference
+        executor (:func:`repro.check.oracle.execute_select`)."""
         text = unparse(select)
         entry = self._entry_for(select, tables, text)
-        if entry.mode == MODE_LEGACY:
-            self.metrics.fallback()
-            return legacy_execute(select, tables, now)
         if self._share_now != now:
             # Scan sharing is only sound within one instant: windows and
             # now() are functions of the clock.
@@ -180,39 +161,12 @@ class QueryEngine:
             self._share_now = now
         timer = self.metrics.timer
         started = timer() if timer is not None else None
-        registry = self.metrics.registry
-        tick_span = (
-            registry.span("query.tick", mode=entry.mode)
-            if registry is not None
-            else nullcontext()
-        )
-        try:
-            with tick_span:
-                if entry.mode == MODE_INCREMENTAL:
-                    result = entry.state.tick(tables, now)
-                    self.metrics.incremental_tick()
-                else:
-                    result = entry.plan.execute(
-                        tables, now, share=self.share, timer=timer
-                    )
-                    self.metrics.full_tick()
-        except HwdbError:
-            # Hwdb-level conditions (table dropped mid-tick, ...) are the
-            # legacy executor's to answer — same inputs, same outcome.
-            self.metrics.fallback()
-            return legacy_execute(select, tables, now)
-        except Exception:
-            logger.warning(
-                "query engine failed on %r; poisoning entry to legacy mode",
-                text,
-                exc_info=True,
-            )
-            self.metrics.plan_error()
-            entry.mode = MODE_LEGACY
-            entry.reason = "runtime failure; see log"
-            entry.state = None
-            self.metrics.fallback()
-            return legacy_execute(select, tables, now)
+        if entry.state is not None:
+            result = entry.state.tick(tables, now)
+            self.metrics.incremental_tick()
+        else:
+            result = entry.plan.execute(tables, now, share=self.share, timer=timer)
+            self.metrics.full_tick()
         if started is not None:
             self.metrics.observe_tick(timer() - started)
         self._record_share_metrics()
@@ -232,8 +186,6 @@ class QueryEngine:
         entry = self._entry_for(select, tables, text)
         if statement.analyze:
             self.execute_select(select, tables, now)
-            # The run may have poisoned (or re-created) the entry.
-            entry = self._cache.get(text, entry)
         lines = render_plan(
             text,
             entry.mode,

@@ -9,30 +9,31 @@ the last tick (delta scan on the table's append sequence number) and
 evicts rows that fell out of the window, then recomputes the aggregates
 from the retained per-row values.
 
-Bit-identity with the legacy executor is non-negotiable (the engine's
-acceptance tests diff row-for-row), which drives two design rules:
+Bit-identity with the reference executor (:mod:`repro.check.oracle`)
+is non-negotiable (the engine's acceptance tests diff row-for-row),
+which drives two design rules:
 
 * **No running accumulators.**  A running ``sum += x`` then ``-= x``
   does not reproduce floating point exactly.  Instead each window entry
   stores the *ingest-time argument values* for every aggregate slot,
-  and emit recomputes ``sum()/avg()/stddev()...`` with the executor's
-  exact formulas over the values in window (sequence) order — the same
-  list, in the same order, through the same arithmetic.
+  and emit recomputes ``sum()/avg()/stddev()...`` with the evaluator's
+  own formulas (:func:`~repro.hwdb.cql.executor.aggregate_values`) over
+  the values in window (sequence) order — the same list, in the same
+  order, through the same arithmetic.
 * **Evict exactly what a rescan would not see.**  Rows leave the state
   when the ring overwrote them (``seq <= table.overwritten``) or their
   timestamp left the window.  Both are checked on deque fronts only —
   sequence numbers and (clamped-monotone) timestamps are nondecreasing,
   so evictees are always a prefix.
 
-Anything this module cannot maintain exactly — extra sources, ROWS/NOW
-windows, DISTINCT, ``now()`` anywhere ingest-time state would capture
-it — raises :class:`NotIncremental` at build time, and the engine runs
-the compiled plan (or legacy executor) every tick instead.
+Anything this module cannot maintain exactly — unoptimized plans, extra
+sources, ROWS/NOW windows, DISTINCT, ``now()`` anywhere ingest-time
+state would capture it — raises :class:`NotIncremental` at build time,
+and the engine runs the compiled plan every tick instead.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
@@ -54,6 +55,7 @@ from ..hwdb.cql.executor import (
     Binding,
     Evaluator,
     ResultSet,
+    aggregate_values,
     order_rows,
     truthy,
 )
@@ -64,7 +66,7 @@ from .plan import AggregateOp, DistinctOp, FilterOp, Plan, ScanOp
 
 class NotIncremental(Exception):
     """This plan must be fully re-executed each tick.  Not an error —
-    a routing decision, like :class:`~repro.query.plan.PlanNotSupported`."""
+    a routing decision."""
 
 
 def _contains_now(expr: Expr) -> bool:
@@ -103,7 +105,7 @@ class _SlotRef(Expr):
 class _RepRef(Expr):
     """Stand-in for a bare column in aggregate context: resolves to the
     group's first (front) row's value — what ``group[0].resolve`` gives
-    the legacy executor."""
+    the evaluator."""
 
     __slots__ = ("index",)
 
@@ -119,7 +121,7 @@ class _EmitEvaluator(Evaluator):
 
     Everything else — scalar functions, arithmetic, ``now()``, HAVING
     truthiness — goes through the inherited implementation, so emit
-    arithmetic is the legacy arithmetic.
+    arithmetic is the plan's arithmetic.
     """
 
     def __init__(self, now: float):
@@ -202,31 +204,10 @@ class _SkeletonBuilder:
 # ----------------------------------------------------------------------
 
 def _slot_value(name: str, star: bool, raw_values: List) -> object:
-    """The legacy aggregate formulas, verbatim, over ingest-time values
-    in window order (see :meth:`Evaluator._aggregate_function`)."""
-    if name == "count":
-        if star:
-            return len(raw_values)
-        return sum(1 for v in raw_values if v is not None)
-    values = [v for v in raw_values if v is not None]
-    if name == "sum":
-        return sum(values) if values else 0
-    if name == "avg":
-        return sum(values) / len(values) if values else None
-    if name == "min":
-        return min(values) if values else None
-    if name == "max":
-        return max(values) if values else None
-    if name == "first":
-        return values[0] if values else None
-    if name == "last":
-        return values[-1] if values else None
-    # stddev — the planner only emits names from AGGREGATE_FUNCTIONS.
-    if len(values) < 2:
-        return 0.0
-    mean = sum(values) / len(values)
-    total = sum((v - mean) ** 2 for v in values)
-    return math.sqrt(total / (len(values) - 1))
+    """An aggregate slot over its ingest-time values in window order."""
+    if star:  # count(*): the planner admits no other star aggregate
+        return len(raw_values)
+    return aggregate_values(name, raw_values)
 
 
 class IncrementalState:
@@ -358,21 +339,21 @@ class IncrementalState:
             for key in emptied:
                 del self._groups[key]
         # Without GROUP BY the single global group legitimately goes
-        # empty: the legacy executor still evaluates it (sum -> 0,
+        # empty: the plan still evaluates it (sum -> 0,
         # count(*) -> 0, avg -> None...), so it must survive here too.
 
     def _emit(self, now: float) -> ResultSet:
         self.ticks += 1
         if self.group_by:
-            # Legacy group order is first occurrence in the current
+            # Plan group order is first occurrence in the current
             # window, i.e. ascending front sequence number.  Emptied
             # groups were deleted in _evict, so fronts always exist.
             groups = sorted(
                 self._groups.values(), key=lambda entries: entries[0][0]
             )
         else:
-            # The single global group survives empty — the legacy
-            # executor still evaluates it (count(*) -> 0, sum -> 0...).
+            # The single global group survives empty — the plan still
+            # evaluates it (count(*) -> 0, sum -> 0...).
             groups = list(self._groups.values()) or [deque()]
         evaluator = _EmitEvaluator(now)
         out_rows: List[Tuple] = []
@@ -422,6 +403,8 @@ def build_incremental(plan: Plan) -> IncrementalState:
     tightened one and pushed predicates are already isolated.
     """
     select = plan.select
+    if plan.unoptimized is not None:
+        raise NotIncremental(f"unoptimized plan: {plan.unoptimized}")
     if len(select.sources) != 1:
         raise NotIncremental("joins re-execute fully")
     if select.distinct:

@@ -23,8 +23,8 @@ and every function is known, so evaluation cannot raise):
   these values per window entry.
 
 Everything here is a pure AST-in/AST-out utility: this module never
-imports :mod:`.plan`, and never mutates the input AST — callers keep
-the original ``Select`` pristine for the legacy fallback path.
+imports :mod:`.plan`, and never mutates the input AST — the compiled
+plan keeps the original ``Select`` for EXPLAIN and the incremental tier.
 """
 
 from __future__ import annotations
@@ -183,9 +183,9 @@ def _try_fold(expr: Expr, evaluator: Evaluator) -> Expr:
         return expr
     try:
         return Literal(evaluator.scalar(expr, None))
-    except (QueryError, TypeError, ValueError, OverflowError):
-        # Evaluation would fail at runtime too (e.g. 'a' + 1); leave the
-        # subtree so the executor surfaces it exactly as legacy would.
+    except QueryError:
+        # Evaluation would fail at runtime too; leave the subtree so the
+        # plan surfaces it exactly as the reference executor would.
         return expr
 
 

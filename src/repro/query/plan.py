@@ -1,30 +1,35 @@
-"""Operator-DAG plans for CQL SELECT statements.
+"""Operator-DAG plans for CQL SELECT statements: the one executor.
 
 ``compile_select`` turns a parsed :class:`Select` into a small tree of
 operators (scan -> join -> filter -> aggregate/project -> distinct ->
-sort -> limit) with the optimizer's rewrites baked in.  The operators
-reuse the legacy executor's row model (:class:`Binding`), grouping,
-ordering and expression evaluation wholesale, so for any query the
-planner accepts, plan execution is provably row-for-row identical to
-:func:`repro.hwdb.cql.executor.execute_select`.
+sort -> limit).  The operators share the row model (:class:`Binding`),
+grouping, ordering and expression evaluation of
+:mod:`repro.hwdb.cql.executor` with the reference executor in
+:mod:`repro.check.oracle`, which every plan must match row for row and
+error for error.
 
-The one thing the planner must *never* do is change which errors a
-query raises.  The legacy executor surfaces most errors data-
-dependently — an unknown column only raises once a row exists to
-resolve it against, ``sum()`` without arguments only raises when a
-group is evaluated, HAVING is silently ignored on non-aggregated
-queries.  The planner therefore enforces a ``resolvable_all``
-precondition: every column reference must resolve statically, every
-function must be known, every aggregate well-formed.  Anything short of
-that raises :class:`PlanNotSupported` at compile time and the engine
-runs the query on the legacy executor, which reproduces the quirky
-behaviour by construction.
+Most SELECTs compile to an *optimized* plan: constant folding, predicate
+pushdown into the scans and window tightening (:mod:`.optimize`).  Those
+rewrites change when an expression is evaluated, so they are only sound
+when no evaluation can raise.  The planner checks that up front: every
+column reference must resolve statically, every function must be known,
+every aggregate well-formed (``resolvable_all``).  A statement that
+fails the check compiles to an *unoptimized* plan instead: scans with
+the source windows and no predicate, one filter holding the whole
+WHERE, then the remaining operators.  That is exactly the order in
+which the reference executor evaluates, so errors that depend on the
+data (an unknown column only raises once a row exists to resolve it
+against) surface exactly when they would there.  ``Plan.unoptimized``
+says why; the incremental tier refuses such plans.
+
+An unknown table or a duplicate alias raises :class:`QueryError` at
+compile time, with the reference executor's message.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..core.errors import QueryError
 from ..hwdb.cql.ast_nodes import (
@@ -71,11 +76,6 @@ from .share import ShareCache
 from .stats import OperatorStats
 
 _WINDOW_KINDS = (W_ALL, W_NOW, W_RANGE, W_ROWS, W_SINCE)
-
-
-class PlanNotSupported(Exception):
-    """The planner cannot prove this SELECT error-free; run it on the
-    legacy executor instead.  Not an error — a routing decision."""
 
 
 class ExecContext:
@@ -220,8 +220,9 @@ class ScanOp(PlanNode):
 
 class JoinOp(PlanNode):
     """Cartesian product of the children, in source order — exactly the
-    join the legacy executor forms (its WHERE then filters; here the
-    single-source conjuncts already ran at the scans)."""
+    join the reference executor forms (its WHERE then filters; in an
+    optimized plan the single-source conjuncts already ran at the
+    scans)."""
 
     kind = "join"
 
@@ -240,7 +241,8 @@ class JoinOp(PlanNode):
 
 
 class FilterOp(PlanNode):
-    """Residual WHERE conjuncts (multi-source or alias-free)."""
+    """Residual WHERE conjuncts (multi-source or alias-free), or the
+    whole WHERE clause in an unoptimized plan."""
 
     kind = "filter"
 
@@ -304,8 +306,8 @@ class AggregateOp(PlanNode):
 
 class ProjectOp(PlanNode):
     """Row-wise projection for non-aggregated queries.  HAVING, if
-    present, is dropped at compile time — the legacy executor ignores it
-    on this branch and the plan must match."""
+    present, is dropped at compile time — the reference executor ignores
+    it on this branch and the plan must match."""
 
     kind = "project"
 
@@ -393,7 +395,8 @@ class LimitOp(PlanNode):
 class Plan:
     """A compiled SELECT: the operator tree plus everything EXPLAIN and
     the engine need (effective projections, output columns, optimizer
-    notes, accumulated per-operator stats)."""
+    notes, accumulated per-operator stats).  ``unoptimized`` is None for
+    an optimized plan, else why the statement failed ``resolvable_all``."""
 
     def __init__(
         self,
@@ -403,6 +406,7 @@ class Plan:
         columns: List[str],
         aggregated: bool,
         notes: List[str],
+        unoptimized: Optional[str] = None,
     ):
         self.select = select
         self.text = unparse(select)
@@ -411,6 +415,7 @@ class Plan:
         self.columns = columns
         self.aggregated = aggregated
         self.notes = notes
+        self.unoptimized = unoptimized
         self.stats = OperatorStats()
         self.nodes: List[Tuple[int, PlanNode]] = []  # (depth, node) preorder
         self._number(root, 0)
@@ -460,54 +465,46 @@ def make_resolver(
     return resolve
 
 
-def _check_expr(
+def _problems(
     expr: Expr,
     resolve: Callable[[ColumnRef], Optional[str]],
     allow_aggregate: bool,
     inside_aggregate: bool = False,
-) -> None:
-    """Enforce resolvable_all: raise PlanNotSupported on anything whose
-    legacy evaluation could raise (or quirkily not raise)."""
+) -> Iterator[str]:
+    """Why evaluating ``expr`` could raise (or quirkily not raise) in
+    the reference executor: each reason ``resolvable_all`` fails on."""
     if isinstance(expr, Literal):
         return
     if isinstance(expr, ColumnRef):
         if resolve(expr) is None:
-            raise PlanNotSupported(
-                f"column {unparse_expr(expr)!r} does not resolve statically"
-            )
+            yield f"column {unparse_expr(expr)!r} does not resolve statically"
         return
     if isinstance(expr, Unary):
-        _check_expr(expr.operand, resolve, allow_aggregate, inside_aggregate)
-        return
-    if isinstance(expr, Binary):
-        _check_expr(expr.left, resolve, allow_aggregate, inside_aggregate)
-        _check_expr(expr.right, resolve, allow_aggregate, inside_aggregate)
-        return
-    if isinstance(expr, InList):
-        _check_expr(expr.needle, resolve, allow_aggregate, inside_aggregate)
-        for item in expr.haystack:
-            _check_expr(item, resolve, allow_aggregate, inside_aggregate)
-        return
-    if isinstance(expr, FunctionCall):
+        children: List[Expr] = [expr.operand]
+    elif isinstance(expr, Binary):
+        children = [expr.left, expr.right]
+    elif isinstance(expr, InList):
+        children = [expr.needle, *expr.haystack]
+    elif isinstance(expr, FunctionCall):
+        children = expr.args
         if expr.name in AGGREGATE_FUNCTIONS:
             if not allow_aggregate:
-                raise PlanNotSupported(f"aggregate {expr.name}() in row context")
-            if inside_aggregate:
-                raise PlanNotSupported(f"nested aggregate {expr.name}()")
-            if not expr.star and not expr.args:
-                raise PlanNotSupported(f"{expr.name}() without an argument")
-            for arg in expr.args:
-                _check_expr(arg, resolve, allow_aggregate, inside_aggregate=True)
-            return
-        if expr.name == "now" or expr.name in SCALAR_FUNCTIONS:
-            for arg in expr.args:
-                _check_expr(arg, resolve, allow_aggregate, inside_aggregate)
-            return
-        raise PlanNotSupported(f"unknown function {expr.name!r}")
-    raise PlanNotSupported(f"unsupported expression {expr!r}")
+                yield f"aggregate {expr.name}() in row context"
+            elif inside_aggregate:
+                yield f"nested aggregate {expr.name}()"
+            elif not expr.args and not (expr.star and expr.name == "count"):
+                yield f"{expr.name}() without an argument"
+            inside_aggregate = True
+        elif expr.name != "now" and expr.name not in SCALAR_FUNCTIONS:
+            yield f"unknown function {expr.name!r}"
+    else:
+        yield f"unsupported expression {expr!r}"
+        return
+    for child in children:
+        yield from _problems(child, resolve, allow_aggregate, inside_aggregate)
 
 
-def _check_order_by(order_by: List[OrderItem], columns: List[str]) -> None:
+def _order_by_problems(order_by: List[OrderItem], columns: List[str]) -> Iterator[str]:
     for item in order_by:
         expr = item.expr
         if (
@@ -523,21 +520,22 @@ def _check_order_by(order_by: List[OrderItem], columns: List[str]) -> None:
             and 1 <= expr.value <= len(columns)
         ):
             continue
-        raise PlanNotSupported("ORDER BY term not statically resolvable")
+        yield "ORDER BY term not statically resolvable"
 
 
 def compile_select(select: Select, tables: Dict[str, StreamTable]) -> Plan:
-    """Compile ``select`` against the current schema, or raise
-    :class:`PlanNotSupported` when the legacy executor must run it."""
+    """Compile ``select`` against the current schema: an optimized plan
+    when it passes ``resolvable_all``, an unoptimized one otherwise.
+    Raises :class:`QueryError` for an unknown table or duplicate alias."""
     aliases: Dict[str, StreamTable] = {}
     for ref in select.sources:
         table = tables.get(ref.table)
         if table is None:
-            raise PlanNotSupported(f"unknown table {ref.table!r}")
+            raise QueryError(f"no such table {ref.table!r}")
         if ref.alias in aliases:
-            raise PlanNotSupported(f"duplicate table alias {ref.alias!r}")
+            raise QueryError(f"duplicate table alias {ref.alias!r}")
         if ref.window.kind not in _WINDOW_KINDS:
-            raise PlanNotSupported(f"window kind {ref.window.kind!r}")
+            raise QueryError(f"unsupported window kind {ref.window.kind!r}")
         aliases[ref.alias] = table
 
     if select.star:
@@ -553,39 +551,47 @@ def compile_select(select: Select, tables: Dict[str, StreamTable]) -> Plan:
     columns = [projection_name(p, i) for i, p in enumerate(projections)]
 
     resolve = make_resolver(aliases)
-    if select.where is not None:
-        _check_expr(select.where, resolve, allow_aggregate=False)
-    for expr in select.group_by:
-        _check_expr(expr, resolve, allow_aggregate=False)
-    for projection in projections:
-        _check_expr(projection.expr, resolve, allow_aggregate=aggregated)
-    if select.having is not None and aggregated:
-        _check_expr(select.having, resolve, allow_aggregate=True)
-    _check_order_by(select.order_by, columns)
+    problems = itertools.chain(
+        _problems(select.where, resolve, False) if select.where is not None else (),
+        *(_problems(expr, resolve, False) for expr in select.group_by),
+        *(_problems(p.expr, resolve, aggregated) for p in projections),
+        _problems(select.having, resolve, True)
+        if select.having is not None and aggregated
+        else (),
+        _order_by_problems(select.order_by, columns),
+    )
+    unoptimized = next(problems, None)
 
-    rewrite = rewrite_where(select.where, select.sources, resolve)
-    pruning_exprs: List[Expr] = [p.expr for p in projections]
-    if select.where is not None:
-        pruning_exprs.append(select.where)
-    pruning_exprs.extend(select.group_by)
-    if select.having is not None and aggregated:
-        pruning_exprs.append(select.having)
-    needed = needed_columns(pruning_exprs, list(aliases), resolve)
-
-    scans: List[PlanNode] = []
-    for ref in select.sources:
-        predicate = and_chain(rewrite.scan_predicates.get(ref.alias, []))
-        scan_ref = TableRef(ref.table, rewrite.windows[ref.alias], ref.alias)
-        scans.append(
-            ScanOp(
-                scan_ref,
-                predicate,
-                alias_normalised_key(predicate, ref.alias),
-                needed.get(ref.alias, ()),
+    if unoptimized is not None:
+        # The reference executor's evaluation order, operator for operator.
+        scans = [ScanOp(ref, None, None, ()) for ref in select.sources]
+        residual = select.where
+        notes: List[str] = []
+    else:
+        rewrite = rewrite_where(select.where, select.sources, resolve)
+        pruning_exprs: List[Expr] = [p.expr for p in projections]
+        if select.where is not None:
+            pruning_exprs.append(select.where)
+        pruning_exprs.extend(select.group_by)
+        if select.having is not None and aggregated:
+            pruning_exprs.append(select.having)
+        needed = needed_columns(pruning_exprs, list(aliases), resolve)
+        scans = []
+        for ref in select.sources:
+            predicate = and_chain(rewrite.scan_predicates.get(ref.alias, []))
+            scan_ref = TableRef(ref.table, rewrite.windows[ref.alias], ref.alias)
+            scans.append(
+                ScanOp(
+                    scan_ref,
+                    predicate,
+                    alias_normalised_key(predicate, ref.alias),
+                    needed.get(ref.alias, ()),
+                )
             )
-        )
+        residual = and_chain(rewrite.residual)
+        notes = rewrite.notes
+
     node: PlanNode = scans[0] if len(scans) == 1 else JoinOp(tuple(scans))
-    residual = and_chain(rewrite.residual)
     if residual is not None:
         node = FilterOp(node, residual)
     if aggregated:
@@ -598,4 +604,4 @@ def compile_select(select: Select, tables: Dict[str, StreamTable]) -> Plan:
         node = SortOp(node, select.order_by, projections, columns)
     if select.limit is not None:
         node = LimitOp(node, select.limit)
-    return Plan(select, node, projections, columns, aggregated, rewrite.notes)
+    return Plan(select, node, projections, columns, aggregated, notes, unoptimized)

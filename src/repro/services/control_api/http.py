@@ -115,6 +115,8 @@ class HttpRequest:
                 expected = int(length)
             except ValueError as exc:
                 raise HttpError(400, "bad Content-Length") from exc
+            if expected < 0:
+                raise HttpError(400, "negative Content-Length")
             if len(body) < expected:
                 raise HttpError(400, "truncated body")
             body = body[:expected]

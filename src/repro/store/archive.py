@@ -271,7 +271,6 @@ class DurableStore:
         )
 
     def set_registry(self, registry) -> None:
-        self._registry = registry
         if registry is None:
             self._m_rows = None
             self._m_seals = None
@@ -351,11 +350,7 @@ class DurableStore:
 
     def flush(self) -> int:
         """Group-commit the pending WAL batch; returns rows flushed."""
-        if self._registry is not None:
-            with self._registry.span("store.group_commit"):
-                flushed = self.wal.flush()
-        else:
-            flushed = self.wal.flush()
+        flushed = self.wal.flush()
         if flushed and self._m_rows is not None:
             self._m_rows.inc(flushed)
         return flushed

@@ -110,7 +110,7 @@ class TestMetricNameRule:
             ("metric-name", 5),  # "FlowsTotal"
             ("metric-name", 6),  # "hosts" (no namespace)
             ("metric-kind", 8),  # counter vs histogram for dhcp.lease_seconds
-            ("metric-name", 9),  # span "Handle-Packet"
+            ("metric-name", 9),  # histogram "Handle-Packet"
         ]
 
     def test_convention_names_are_clean(self):
@@ -138,7 +138,8 @@ class TestLayeringRule:
         assert layer_of("repro.core.router") == 11
         assert layer_of("repro.net.udp") == 1
         assert layer_of("repro.household") == 11
-        assert layer_of("repro.query.engine") == 4
+        assert layer_of("repro.query.engine") == 3
+        assert layer_of("repro.store.archive") == 4
 
     def test_upward_imports_flagged_type_checking_exempt(self):
         source = fixture("layering_low.py", "repro.net.fixture_low")

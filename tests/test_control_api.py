@@ -59,6 +59,15 @@ class TestHttpRequest:
         with pytest.raises(HttpError):
             HttpRequest.parse(b"POST /x HTTP/1.1\r\ncontent-length: 10\r\n\r\nab")
 
+    def test_negative_content_length_rejected(self):
+        # Slicing by a negative length would cut the body short
+        # ({"mac":"x"} would become {"mac":").
+        with pytest.raises(HttpError) as err:
+            HttpRequest.parse(
+                b'POST /x HTTP/1.1\r\ncontent-length: -3\r\n\r\n{"mac":"x"}'
+            )
+        assert err.value.status == 400
+
     def test_bad_json_body(self):
         request = HttpRequest("POST", "/x", body=b"not-json")
         with pytest.raises(HttpError) as err:
@@ -302,3 +311,14 @@ class TestControlApiEndpoints:
         _sim, router, _host = api_env
         response = HttpResponse.parse(router.control_api.handle_bytes(b"garbage\r\n\r\n"))
         assert response.status == 400
+
+    def test_wire_level_negative_content_length(self, api_env):
+        _sim, router, _host = api_env
+        raw = (
+            b"PUT /devices/02:aa:00:00:00:09/metadata HTTP/1.1\r\n"
+            b"x-auth-token: homework\r\ncontent-length: -3\r\n\r\n"
+            b'{"mac":"x"}'
+        )
+        response = HttpResponse.parse(router.control_api.handle_bytes(raw))
+        assert response.status == 400
+        assert "Content-Length" in response.json()["error"]

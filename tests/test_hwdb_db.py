@@ -16,6 +16,7 @@ from repro.hwdb.rpc import (
     unpack_resultset,
 )
 from repro.hwdb.schema import install_standard_schema
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.simulator import Simulator
 
 
@@ -223,6 +224,81 @@ class TestRpcServer:
         server.handle_datagram(b"SUBSCRIBE nope SELECT 1", responses.append)
         server.handle_datagram(b"\xff\xfe", responses.append)
         assert all(r.startswith(b"ERROR") for r in responses)
+
+
+class TestHostileRequests:
+    """One datagram must never crash the simulator or count as an
+    internal error: ill-typed operands act like NULL, and every hwdb
+    error comes back as ``ERROR <message>``."""
+
+    @pytest.fixture
+    def served(self, setup):
+        sim, db = setup
+        registry = MetricsRegistry()
+        server = RpcServer(db, registry=registry)
+        db.insert("events", ["tv", 5])
+        return sim, server, registry
+
+    @staticmethod
+    def send(server, request):
+        replies = []
+        server.handle_datagram(request, replies.append)
+        (reply,) = replies
+        return reply
+
+    def test_ill_typed_subscription_keeps_simulator_running(self, served):
+        sim, server, registry = served
+        reply = self.send(
+            server, b"SUBSCRIBE 1 SELECT value FROM events WHERE value > 'z'"
+        )
+        assert reply.startswith(b"SUBSCRIBED ")
+        sim.run_for(3.5)  # three fires, each comparing an integer with text
+        assert sim.now == pytest.approx(3.5)
+        assert registry.counter("rpc.internal_error_total").value == 0
+
+    def test_mixed_type_order_by_keeps_simulator_running(self, served):
+        sim, server, registry = served
+        server.db.insert("events", ["radio", 6])
+        # 1 / (value - 5) is NULL for the tv row, so c mixes text and float.
+        reply = self.send(
+            server,
+            b"SUBSCRIBE 1 SELECT coalesce(1 / (value - 5), device) AS c "
+            b"FROM events ORDER BY c",
+        )
+        assert reply.startswith(b"SUBSCRIBED ")
+        sim.run_for(2.5)
+        reply = self.send(
+            server,
+            b"QUERY SELECT coalesce(1 / (value - 5), device) AS c FROM events ORDER BY c",
+        )
+        assert unpack_resultset(reply[3:].decode()).rows == [("tv",), (1.0,)]
+        assert registry.counter("rpc.internal_error_total").value == 0
+
+    def test_ill_typed_query_answers_empty(self, served):
+        _sim, server, registry = served
+        reply = self.send(server, b"QUERY SELECT value FROM events WHERE value > 'z'")
+        assert reply == b"OK\n" + pack_resultset(ResultSet(["value"], [])).encode()
+        reply = self.send(server, b"QUERY SELECT -device, value + 'a' FROM events")
+        assert reply.startswith(b"OK\n")
+        assert unpack_resultset(reply[3:].decode()).rows == [(None, None)]
+        assert registry.counter("rpc.internal_error_total").value == 0
+
+    @pytest.mark.parametrize("interval", [b"0", b"-1", b"nan", b"inf", b"-inf"])
+    def test_bad_interval_is_an_error_reply(self, served, interval):
+        sim, server, registry = served
+        reply = self.send(
+            server, b"SUBSCRIBE " + interval + b" SELECT value FROM events"
+        )
+        assert reply.startswith(b"ERROR subscription interval must be positive")
+        assert registry.counter("rpc.internal_error_total").value == 0
+        assert server.db.subscriptions() == []
+        sim.run_for(1.0)
+
+    @pytest.mark.parametrize("interval", [0.0, float("nan"), float("inf")])
+    def test_subscribe_rejects_non_finite_interval(self, setup, interval):
+        _sim, db = setup
+        with pytest.raises(HwdbError):
+            db.subscribe("SELECT value FROM events", interval, lambda result: None)
 
 
 class TestPersistence:

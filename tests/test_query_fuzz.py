@@ -1,9 +1,10 @@
-"""Property-based regression: the query engine vs the legacy executor.
+"""Property-based regression: the query engine vs the reference executor.
 
 Replays the differential CQL fuzzer (:mod:`repro.check.cql_fuzz`) with
 fixed seeds inside the test suite — ≥500 generated queries, each
-executed over several churn ticks by both the engine and the legacy
-executor, results compared value-for-value including Python types.
+executed over several churn ticks by both the engine and the reference
+executor (``repro.check.oracle``), results compared value-for-value
+including Python types.
 Any divergence is a hard failure with the offending query in the
 message; reproduce it with
 ``python -m repro fuzz --cql-queries N --seed S``.

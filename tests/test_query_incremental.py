@@ -1,19 +1,19 @@
 """Incremental-tier edge cases: empty rings, wrap-around, overwrites.
 
 Satellite of the query-engine PR: the window shapes where incremental
-state maintenance is easiest to get wrong.  Every test drives an
-engine-backed database and a legacy-only twin in lockstep and demands
-bit-identical results — the same oracle the fuzzer uses, aimed at the
-corners a random workload might miss.
+state maintenance is easiest to get wrong.  Every test runs the
+database's engine and the reference executor (``repro.check.oracle``)
+over the same rings in lockstep and demands bit-identical results — the
+same oracle the fuzzer uses, aimed at the corners a random workload
+might miss.
 """
 
 import pytest
 
+from repro.check.oracle import execute_select
 from repro.core.clock import SimulatedClock
-from repro.hwdb.cql.executor import execute_select
 from repro.hwdb.cql.parser import parse
 from repro.hwdb.database import HomeworkDatabase
-from repro.query.engine import QueryEngine
 from repro.query.incremental import NotIncremental, build_incremental
 from repro.query.plan import compile_select
 
@@ -37,7 +37,7 @@ def fingerprint(result):
 
 
 def assert_identical(db, engine, text):
-    """Engine output must match the legacy executor's, types included."""
+    """Engine output must match the reference executor's, types included."""
     statement = parse(text)
     expected = fingerprint(execute_select(statement, db._tables, db.now))
     actual = fingerprint(engine.execute_select(statement, db._tables, db.now))
@@ -53,7 +53,7 @@ class TestEmptyRing:
     )
     def test_aggregate_over_empty_ring(self, window):
         db = make_db()
-        engine = QueryEngine(db)
+        engine = db.engine
         assert_identical(db, engine, AGG.format(window=window))
 
     @pytest.mark.parametrize("window", ["[SINCE 2.0] ", "[ROWS 3] "])
@@ -61,7 +61,7 @@ class TestEmptyRing:
         """A ring that empties (all rows beyond the window) and refills
         must not strand stale incremental groups."""
         db = make_db()
-        engine = QueryEngine(db)
+        engine = db.engine
         text = "SELECT device, sum(bytes) AS b FROM flows [RANGE 3 SECONDS] GROUP BY device"
         db._clock.advance(1.0)
         db.insert("flows", {"device": "a", "bytes": 10})
@@ -78,7 +78,7 @@ class TestRingWrapAround:
         """More inserts than capacity: the retained rows straddle the
         ring's physical wrap and the window covers all of them."""
         db = make_db(capacity=8)
-        engine = QueryEngine(db)
+        engine = db.engine
         text = "SELECT device, sum(bytes) AS b, count(*) AS n FROM flows GROUP BY device"
         for i in range(20):  # 2.5 laps of the ring
             db._clock.advance(0.5)
@@ -88,7 +88,7 @@ class TestRingWrapAround:
 
     def test_since_window_vs_wrap(self):
         db = make_db(capacity=8)
-        engine = QueryEngine(db)
+        engine = db.engine
         text = "SELECT device, sum(bytes) AS b FROM flows [SINCE 4.0] GROUP BY device"
         for i in range(30):
             db._clock.advance(0.4)
@@ -102,7 +102,7 @@ class TestOverwrittenUnconsumedRows:
         rows the incremental state never saw are gone.  The watermark
         jump must match what a from-scratch recompute sees."""
         db = make_db(capacity=8)
-        engine = QueryEngine(db)
+        engine = db.engine
         text = "SELECT device, sum(bytes) AS b FROM flows [RANGE 60 SECONDS] GROUP BY device"
         db._clock.advance(1.0)
         db.insert("flows", {"device": "a", "bytes": 1})
@@ -119,7 +119,7 @@ class TestOverwrittenUnconsumedRows:
         """Rows ingested into incremental state and *then* overwritten
         in the ring must leave the state too (seq-based eviction)."""
         db = make_db(capacity=4)
-        engine = QueryEngine(db)
+        engine = db.engine
         text = "SELECT sum(bytes) AS b, first(device) AS d FROM flows"
         for i in range(12):
             db._clock.advance(1.0)
@@ -130,7 +130,7 @@ class TestOverwrittenUnconsumedRows:
 class TestStateLifecycle:
     def test_table_recreation_resets_state(self):
         db = make_db()
-        engine = QueryEngine(db)
+        engine = db.engine
         text = "SELECT device, sum(bytes) AS b FROM flows GROUP BY device"
         db._clock.advance(1.0)
         db.insert("flows", {"device": "a", "bytes": 5})
@@ -179,36 +179,27 @@ class TestStateLifecycle:
 class TestSubscriptionDelivery:
     def test_subscription_identical_to_legacy_over_many_ticks(self):
         """The headline behaviour: a Figure-1 subscription fired across
-        churn, wrap and quiet periods never differs from legacy."""
-        engine_db = make_db(capacity=16)
-        legacy_db = make_db(capacity=16)
-        QueryEngine(engine_db)
+        churn, wrap and quiet periods never differs from the reference
+        executor."""
+        db = make_db(capacity=16)
         text = (
             "SELECT device, sum(bytes) AS b FROM flows [RANGE 5 SECONDS] "
             "GROUP BY device ORDER BY b DESC"
         )
-        subs = []
-        for database in (engine_db, legacy_db):
-            results = []
-            subs.append(
-                (
-                    database.subscribe(
-                        text, 1.0, results.append, deliver_empty=True, start=False
-                    ),
-                    results,
-                )
-            )
+        pushed = []
+        subscription = db.subscribe(
+            text, 1.0, pushed.append, deliver_empty=True, start=False
+        )
+        expected = []
         for tick in range(40):
-            for database in (engine_db, legacy_db):
-                if tick < 25:  # then a quiet tail drains the window
-                    for j in range(tick % 5):
-                        database.insert(
-                            "flows", {"device": f"dev{j % 3}", "bytes": tick * 10 + j}
-                        )
-                database._clock.advance(1.0)
-            for subscription, _ in subs:
-                subscription.fire()
-        engine_results = [fingerprint(r) for r in subs[0][1]]
-        legacy_results = [fingerprint(r) for r in subs[1][1]]
-        assert engine_results == legacy_results
-        assert len(engine_results) == 40
+            if tick < 25:  # then a quiet tail drains the window
+                for j in range(tick % 5):
+                    db.insert("flows", {"device": f"dev{j % 3}", "bytes": tick * 10 + j})
+            db._clock.advance(1.0)
+            subscription.fire()
+            expected.append(
+                fingerprint(execute_select(subscription.select, db._tables, db.now))
+            )
+        assert db.engine.cache_info()[0][1] == "incremental"
+        assert [fingerprint(r) for r in pushed] == expected
+        assert len(pushed) == 40

@@ -1,28 +1,24 @@
 """repro.query compilation: tiers, optimizer rewrites, caches, EXPLAIN.
 
-The engine's contract is behavioural identity with the legacy executor,
-so most correctness lives in the differential tests
-(``test_query_fuzz.py``); this file pins down the *machinery* — which
-tier a statement lands in, what the optimizer rewrites, how the plan
-and share caches behave, and what EXPLAIN reports.
+The engine's contract is behavioural identity with the reference
+executor (``repro.check.oracle``), so most correctness lives in the
+differential tests (``test_query_fuzz.py``); this file pins down the
+*machinery* — which tier a statement lands in, what the optimizer
+rewrites, when a plan is unoptimized, how the plan and share caches
+behave, and what EXPLAIN reports.
 """
 
 import pytest
 
+from repro.check.oracle import execute_select
 from repro.core.clock import SimulatedClock
 from repro.core.errors import QueryError
-from repro.hwdb.cql.executor import execute_select
 from repro.hwdb.cql.parser import parse
 from repro.hwdb.database import HomeworkDatabase
 from repro.obs.metrics import MetricsRegistry
-from repro.query.engine import (
-    MODE_INCREMENTAL,
-    MODE_LEGACY,
-    MODE_PLAN,
-    PLAN_CACHE_SIZE,
-    QueryEngine,
-)
-from repro.query.plan import PlanNotSupported, compile_select
+from repro.query.engine import MODE_INCREMENTAL, MODE_PLAN, PLAN_CACHE_SIZE, QueryEngine
+from repro.query.incremental import NotIncremental, build_incremental
+from repro.query.plan import compile_select
 
 SCHEMA = [("device", "varchar"), ("proto", "integer"), ("bytes", "integer")]
 
@@ -36,7 +32,7 @@ def db():
 
 @pytest.fixture
 def engine(db):
-    return QueryEngine(db)
+    return db.engine
 
 
 def fill(db, rows=20):
@@ -77,18 +73,120 @@ class TestTierRouting:
         fill(db)
         assert mode_of(engine, db, "SELECT DISTINCT device FROM flows") == MODE_PLAN
 
-    def test_unknown_column_falls_back_to_legacy(self, engine, db):
-        # The legacy executor only errors on unknown columns when rows
-        # exist — a data-dependent behaviour no plan can reproduce, so
-        # the compiler must refuse and route the statement to legacy.
-        assert mode_of(engine, db, "SELECT nosuch FROM flows") == MODE_LEGACY
+    def test_unknown_column_compiles_unoptimized_plan(self, engine, db):
+        # The reference executor only errors on unknown columns when rows
+        # exist — a data-dependent behaviour the unoptimized plan keeps
+        # by evaluating in the same order.
+        assert mode_of(engine, db, "SELECT nosuch FROM flows") == MODE_PLAN
         fill(db)
         with pytest.raises(QueryError):
             engine.execute_select(parse("SELECT nosuch FROM flows"), db._tables, db.now)
 
     def test_compile_rejects_unknown_table(self, db):
-        with pytest.raises(PlanNotSupported):
+        with pytest.raises(QueryError, match="no such table 'nosuch'"):
             compile_select(parse("SELECT x FROM nosuch"), db._tables)
+
+    def test_compile_rejects_duplicate_alias(self, db):
+        with pytest.raises(QueryError, match="duplicate table alias 'f'"):
+            compile_select(parse("SELECT f.bytes FROM flows AS f, flows AS f"), db._tables)
+
+
+def outcome(run):
+    """Rows (types included) or the error a statement ends in."""
+    try:
+        result = run()
+    except QueryError as exc:
+        return ("error", type(exc).__name__, str(exc))
+    rows = [tuple((type(v).__name__, v) for v in row) for row in result.rows]
+    return ("ok", result.columns, rows)
+
+
+class TestUnoptimizedPlans:
+    """Statements that fail ``resolvable_all`` compile to unoptimized
+    plans, which must end exactly like the reference executor — same
+    rows, or the same error — on an empty ring and a filled one."""
+
+    UNOPTIMIZED = [
+        ("SELECT nosuch FROM flows", "column 'nosuch' does not resolve statically"),
+        ("SELECT device FROM flows, leases", "column 'device' does not resolve statically"),
+        ("SELECT device FROM flows ORDER BY bytes", "ORDER BY term not statically resolvable"),
+        ("SELECT sum() FROM flows", "sum() without an argument"),
+        # sum(*) must stay out of the incremental tier, which would
+        # answer 0 where the reference executor raises.
+        ("SELECT sum(*) FROM flows [RANGE 10 SECONDS]", "sum() without an argument"),
+        (
+            "SELECT bytes FROM flows WHERE bytes > 100 AND nosuch = 1",
+            "column 'nosuch' does not resolve statically",
+        ),
+    ]
+
+    @pytest.fixture
+    def two_tables(self, db):
+        db.create_table("leases", [("device", "varchar"), ("ip", "integer")], 16)
+        return db
+
+    @staticmethod
+    def fill_leases(db):
+        for i in range(3):
+            db.insert("leases", {"device": f"dev{i}", "ip": i})
+
+    def assert_matches_oracle(self, db, text):
+        statement = parse(text)
+        expected = outcome(lambda: execute_select(statement, db._tables, db.now))
+        actual = outcome(lambda: db.engine.execute_select(statement, db._tables, db.now))
+        assert actual == expected, text
+        return actual
+
+    @pytest.mark.parametrize("text, reason", UNOPTIMIZED)
+    def test_matches_oracle_on_empty_and_filled_ring(self, two_tables, text, reason):
+        db = two_tables
+        self.assert_matches_oracle(db, text)
+        fill(db)
+        self.fill_leases(db)
+        assert self.assert_matches_oracle(db, text)[0] == "error"
+        lines = [row[0] for row in db.query("EXPLAIN " + text).rows]
+        assert "Mode: plan" in lines
+        assert f"Reason: unoptimized plan: {reason}" in lines
+
+    def test_plan_keeps_the_reference_evaluation_order(self, db):
+        plan = compile_select(
+            parse("SELECT bytes FROM flows WHERE bytes > 100 AND nosuch = 1"), db._tables
+        )
+        assert plan.unoptimized == "column 'nosuch' does not resolve statically"
+        # No pushdown: a bare scan, then one filter holding the whole WHERE.
+        assert [node.describe() for _depth, node in plan.nodes] == [
+            "Project [bytes]",
+            "Filter (((bytes > 100) AND (nosuch = 1)))",
+            "Scan flows",
+        ]
+        with pytest.raises(NotIncremental, match="unoptimized plan"):
+            build_incremental(plan)
+
+    def test_having_without_aggregation_is_ignored_like_the_oracle(self, db):
+        # resolvable_all does not look at HAVING on a non-aggregated
+        # query: the plan stays optimized and Project drops the HAVING,
+        # as the reference executor ignores it.
+        text = "SELECT device FROM flows HAVING sum(bytes) > 100"
+        self.assert_matches_oracle(db, text)
+        fill(db)
+        assert self.assert_matches_oracle(db, text)[0] == "ok"
+        assert compile_select(parse(text), db._tables).unoptimized is None
+        lines = [row[0] for row in db.query("EXPLAIN " + text).rows]
+        assert "Mode: plan" in lines
+        assert "Reason: non-aggregated queries re-execute fully" in lines
+
+    def test_empty_join_probe(self, two_tables):
+        # With ``leases`` empty the reference join is empty and never
+        # evaluates WHERE, while the optimized plan pushes the
+        # comparison into the flows scan; ill-typed operands compare
+        # false, so neither raises.
+        db = two_tables
+        text = "SELECT f.bytes FROM flows AS f, leases AS l WHERE f.bytes > 'z'"
+        fill(db)
+        assert self.assert_matches_oracle(db, text) == ("ok", ["bytes"], [])
+        assert compile_select(parse(text), db._tables).unoptimized is None
+        self.fill_leases(db)
+        assert self.assert_matches_oracle(db, text) == ("ok", ["bytes"], [])
 
 
 class TestOptimizer:
@@ -100,14 +198,14 @@ class TestOptimizer:
             db._tables,
         )
         assert any("window" in note for note in plan.notes)
-        legacy = execute_select(
+        expected = execute_select(
             parse("SELECT device, sum(bytes) AS b FROM flows "
                   "WHERE timestamp >= 5.0 GROUP BY device"),
             db._tables,
             db.now,
         )
         optimized = plan.execute(db._tables, db.now)
-        assert optimized.rows == legacy.rows
+        assert optimized.rows == expected.rows
 
     def test_predicate_pushdown_noted(self, db):
         plan = compile_select(
@@ -119,8 +217,8 @@ class TestOptimizer:
         fill(db)
         text = "SELECT device FROM flows WHERE bytes > 100 + 200"
         plan = compile_select(parse(text), db._tables)
-        legacy = execute_select(parse(text), db._tables, db.now)
-        assert plan.execute(db._tables, db.now).rows == legacy.rows
+        expected = execute_select(parse(text), db._tables, db.now)
+        assert plan.execute(db._tables, db.now).rows == expected.rows
 
 
 class TestPlanCache:
@@ -161,7 +259,7 @@ class TestShareCache:
     def test_same_scan_shared_across_queries(self, db):
         fill(db)
         registry = MetricsRegistry()
-        engine = QueryEngine(db, registry=registry)
+        engine = QueryEngine(registry)
         now = db.now
         # Two distinct non-aggregated statements over the same table,
         # window and (empty) pushed predicate, at the same tick.
@@ -176,7 +274,7 @@ class TestShareCache:
     def test_share_cache_cleared_between_ticks(self, db):
         fill(db)
         registry = MetricsRegistry()
-        engine = QueryEngine(db, registry=registry)
+        engine = QueryEngine(registry)
         engine.execute_select(
             parse("SELECT device FROM flows [ROWS 10]"), db._tables, db.now
         )
@@ -206,10 +304,14 @@ class TestExplain:
         assert any("rows=" in line for line in lines)
 
     def test_explain_without_engine(self):
+        # No engine is attached by hand: every database builds its own,
+        # so EXPLAIN needs no router.
         db = HomeworkDatabase(SimulatedClock())
         db.create_table("flows", SCHEMA, 8)
         result = db.query("EXPLAIN SELECT device FROM flows")
-        assert "legacy" in result.rows[0][0]
+        lines = [row[0] for row in result.rows]
+        assert "Mode: plan" in lines
+        assert any("Scan flows" in line for line in lines)
 
 
 class TestExecutedAt:
@@ -222,7 +324,6 @@ class TestExecutedAt:
         from repro.hwdb.rpc import pack_resultset, unpack_resultset
 
         fill(db)
-        QueryEngine(db)
         result = db.query("SELECT device, bytes FROM flows [ROWS 3]")
         assert result.executed_at == db.now
         wire = pack_resultset(result)
@@ -235,27 +336,30 @@ class TestMetrics:
     def test_tick_counters_move(self, db):
         fill(db)
         registry = MetricsRegistry()
-        engine = QueryEngine(db, registry=registry)
+        engine = QueryEngine(registry)
         engine.execute_select(
             parse("SELECT device, sum(bytes) AS b FROM flows "
                   "[RANGE 10 SECONDS] GROUP BY device"),
             db._tables,
             db.now,
         )
+        engine.execute_select(
+            parse("SELECT device FROM flows [ROWS 5]"), db._tables, db.now
+        )
         with pytest.raises(QueryError):
-            # Unresolvable column: routed to legacy, which raises once
-            # rows exist — the fallback counter still moves.
+            # Unresolvable column: an unoptimized plan that raises once
+            # rows exist.  A failed tick counts nothing.
             engine.execute_select(
                 parse("SELECT nosuch2 FROM flows"), db._tables, db.now
             )
         assert registry.counter("query.incremental_tick_total").value == 1
-        assert registry.counter("query.fallback_total").value == 1
+        assert registry.counter("query.full_tick_total").value == 1
+        assert registry.get("query.fallback_total") is None
 
     def test_subscription_gauge_and_fire_histogram(self):
         registry = MetricsRegistry()
         db = HomeworkDatabase(SimulatedClock(), registry=registry)
         db.create_table("flows", SCHEMA, 64)
-        QueryEngine(db, registry=registry)
         fill(db)
         subscription = db.subscribe(
             "SELECT device, sum(bytes) AS b FROM flows GROUP BY device",
